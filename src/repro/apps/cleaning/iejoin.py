@@ -6,13 +6,13 @@ extended the set of physical RHEEM operators with a new join operator
 
 * :func:`ie_join_pairs` — the algorithm itself: both relations are sorted
   on the first join attribute, the second attribute is reduced to rank
-  positions, and a **bit array over rank positions** marks which left
-  tuples are "active" while the right relation is swept in first-
-  attribute order; eligible partners are read off contiguous bit-array
-  slices.  This is the sorted-arrays + permutation + bit-array structure
-  of the PVLDB'15 algorithm, with complexity
-  ``O(n log n + m log m + scan + output)`` — versus the quadratic
-  cross-product baseline.
+  positions, and a **bit array over rank positions** (a Python ``int``
+  used as a bitset) marks which left tuples are "active" while the right
+  relation is swept in first-attribute order; eligible partners are read
+  off a contiguous bit range with a shift and a mask.  This is the
+  sorted-arrays + permutation + bit-array structure of the PVLDB'15
+  algorithm, with complexity ``O(n log n + m log m + scan + output)`` —
+  versus the quadratic cross-product baseline.
 * :class:`InequalityJoin` — a *new logical operator* an application can
   use in plans;
 * :class:`PIEJoin` — the new physical operator (with a nested-loop
@@ -61,8 +61,11 @@ def ie_join_pairs(
 ) -> Iterator[tuple[Any, Any]]:
     """All pairs (l, r) with ``k1(l) op1 k1(r)`` and ``k2(l) op2 k2(r)``.
 
-    Yields pairs in right-sweep order.  Both operators must be inequality
-    comparators (``<``, ``<=``, ``>``, ``>=``).
+    Yields pairs in right-sweep order, and for each right tuple its left
+    partners in ascending second-attribute rank.  Each key UDF runs once
+    per tuple; the bit array over ranks is a Python ``int`` bitset, so a
+    right tuple's partners are one shift-and-mask of it.  Both operators
+    must be inequality comparators (``<``, ``<=``, ``>``, ``>=``).
     """
     for op in (op1, op2):
         if op not in _COMPARATORS:
@@ -83,53 +86,61 @@ def ie_join_pairs(
     compare1 = _COMPARATORS[op1]
     descending1 = op1 in (">", ">=")
 
+    # Evaluate every key UDF exactly once per tuple.
+    left_x = [left_key1(t) for t in left]
+    left_y = [left_key2(t) for t in left]
+    right_x = [right_key1(t) for t in right]
+
     # Sort both relations on the first attribute, in the sweep direction:
     # when scanning right tuples in this order, the set of left tuples
     # satisfying predicate 1 only ever grows.
-    left_order = sorted(
-        range(len(left)), key=lambda i: left_key1(left[i]), reverse=descending1
-    )
-    right_order = sorted(
-        range(len(right)), key=lambda j: right_key1(right[j]), reverse=descending1
-    )
+    left_order = sorted(range(n), key=left_x.__getitem__, reverse=descending1)
+    right_order = sorted(range(m), key=right_x.__getitem__, reverse=descending1)
 
     # Rank positions of left tuples on the second attribute (always
     # ascending), plus the sorted key list for offset lookups — the
     # "permutation array" of the PVLDB algorithm.
-    y_order = sorted(range(len(left)), key=lambda i: left_key2(left[i]))
-    y_keys = [left_key2(left[i]) for i in y_order]
-    rank_of_left = {index: rank for rank, index in enumerate(y_order)}
-    y_order_array = np.asarray(y_order)
+    y_order = sorted(range(n), key=left_y.__getitem__)
+    y_keys = [left_y[i] for i in y_order]
+    rank_of_left = [0] * n
+    for rank, index in enumerate(y_order):
+        rank_of_left[index] = rank
+    # The sweep reads left tuples in first-attribute order only.
+    sweep_x = [left_x[i] for i in left_order]
+    sweep_rank = [rank_of_left[i] for i in left_order]
 
-    # The bit array: active[rank] == True once the left tuple at that
-    # second-attribute rank satisfies predicate 1 for the current right.
-    active = np.zeros(len(left), dtype=bool)
+    # Predicate 2 holds for a contiguous rank range: [offset, n) for
+    # ">"/">=", [0, offset) for "<"/"<=", offset found by bisection.
+    upper = op2 in (">", ">=")
+    bisect_at = bisect.bisect_right if op2 in (">", "<=") else bisect.bisect_left
+
+    # The bit array, as a Python int: bit ``rank`` is set once the left
+    # tuple at that second-attribute rank satisfies predicate 1 for the
+    # current right tuple.
+    active = 0
 
     pointer = 0
     for j in right_order:
         right_tuple = right[j]
-        rx = right_key1(right_tuple)
-        while pointer < len(left_order) and compare1(
-            left_key1(left[left_order[pointer]]), rx
-        ):
-            active[rank_of_left[left_order[pointer]]] = True
+        rx = right_x[j]
+        while pointer < n and compare1(sweep_x[pointer], rx):
+            active |= 1 << sweep_rank[pointer]
             pointer += 1
-        ry = right_key2(right_tuple)
-        # Offset into the rank dimension for predicate 2.
-        if op2 == ">":
-            low, high = bisect.bisect_right(y_keys, ry), len(y_keys)
-        elif op2 == ">=":
-            low, high = bisect.bisect_left(y_keys, ry), len(y_keys)
-        elif op2 == "<":
-            low, high = 0, bisect.bisect_left(y_keys, ry)
-        else:  # "<="
-            low, high = 0, bisect.bisect_right(y_keys, ry)
-        if low >= high:
-            continue
-        hits = np.nonzero(active[low:high])[0]
-        report_work(float(len(hits)))
-        for rank in hits:
-            yield (left[y_order_array[low + rank]], right_tuple)
+        offset = bisect_at(y_keys, right_key2(right_tuple))
+        if upper:
+            if offset == n:
+                continue
+            low, hits = offset, active >> offset
+        else:
+            if offset == 0:
+                continue
+            low, hits = 0, active & ((1 << offset) - 1)
+        report_work(float(hits.bit_count()))
+        # Read set bits lowest first: ascending rank, as a bitmap scan.
+        while hits:
+            lowest = hits & -hits
+            yield (left[y_order[low + lowest.bit_length() - 1]], right_tuple)
+            hits ^= lowest
 
 
 # ----------------------------------------------------------------------

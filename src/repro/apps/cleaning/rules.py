@@ -158,7 +158,7 @@ class FDRule(Rule):
 
     def scope(self, item: TupleWithId) -> TupleWithId:
         tid, record = item
-        return (tid, record.project(list(self.lhs + self.rhs)))
+        return (tid, record.project(self.lhs + self.rhs))
 
     def block(self, item: TupleWithId) -> Any:
         _, record = item
@@ -215,6 +215,12 @@ class DCRule(Rule):
         self.residual = tuple(
             p for p in self.predicates if p not in self.equalities
         )
+        #: the fields Scope keeps, in first-mention order
+        self.fields = tuple(dict.fromkeys(
+            field
+            for predicate in self.predicates
+            for field in (predicate.left_field, predicate.right_field)
+        ))
 
     @property
     def inequality_pair(self) -> tuple[Predicate, Predicate] | None:
@@ -225,12 +231,7 @@ class DCRule(Rule):
 
     def scope(self, item: TupleWithId) -> TupleWithId:
         tid, record = item
-        fields: list[str] = []
-        for predicate in self.predicates:
-            for field in (predicate.left_field, predicate.right_field):
-                if field not in fields:
-                    fields.append(field)
-        return (tid, record.project(fields))
+        return (tid, record.project(self.fields))
 
     def block(self, item: TupleWithId) -> Any:
         _, record = item
@@ -283,7 +284,7 @@ class UniqueRule(Rule):
 
     def scope(self, item: TupleWithId) -> TupleWithId:
         tid, record = item
-        return (tid, record.project(list(self.fields)))
+        return (tid, record.project(self.fields))
 
     def block(self, item: TupleWithId) -> Any:
         _, record = item
@@ -339,7 +340,7 @@ class NullRule(Rule):
 
     def scope(self, item: TupleWithId) -> TupleWithId:
         tid, record = item
-        return (tid, record.project(list(self.fields)))
+        return (tid, record.project(self.fields))
 
     def detect_single(self, item: TupleWithId) -> list[Violation]:
         tid, record = item

@@ -348,6 +348,9 @@ class Executor:
                 atoms=len(plan.atoms),
                 platforms=[p.name for p in plan.platforms],
             )
+        if self._profiler is not None:
+            # process-wide hooks live exactly as long as this run
+            self._profiler.attach()
         try:
             self._emit(
                 EXECUTION_STARTED,
@@ -433,6 +436,8 @@ class Executor:
             if span is not None:
                 tracer.end_span(span)
             self._tracer = None
+            if self._profiler is not None:
+                self._profiler.detach()
 
     # ------------------------------------------------------------------
     # fault tolerance: checkpoint staleness guard and failover

@@ -29,12 +29,20 @@ Chrome-trace/JSONL exporters and the run journal untouched.
 When profiling is off the executor holds no profiler and every hook is
 an ``is None`` check — zero allocation, no tracemalloc, no GC callback;
 enforced by tests exactly like the tracer's no-op fast path.
+
+When it is on, the process-wide hooks (``tracemalloc`` and the GC
+callback) are held only while a profiled run executes: the executor
+attaches its profiler at ``execute()`` entry and detaches it on every
+exit path.  Attachments are reference-counted process-wide, so
+concurrent profiled runs (serving tenants) share one set of hooks and
+the last run out removes them.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+import threading
 import time
 import tracemalloc
 from typing import TYPE_CHECKING
@@ -107,20 +115,6 @@ class _GcMonitor:
         self.pause_ms = 0.0
         self.collections = 0
         self._pending_start = 0.0
-        self._installed = False
-
-    def install(self) -> None:
-        if not self._installed:
-            gc.callbacks.append(self._on_gc)
-            self._installed = True
-
-    def uninstall(self) -> None:
-        if self._installed:
-            try:
-                gc.callbacks.remove(self._on_gc)
-            except ValueError:  # pragma: no cover - already removed
-                pass
-            self._installed = False
 
     def _on_gc(self, phase: str, info: dict) -> None:
         if phase == "start":
@@ -131,6 +125,44 @@ class _GcMonitor:
 
     def snapshot(self) -> tuple[float, int]:
         return self.pause_ms, self.collections
+
+
+class _ProcessHooks:
+    """``tracemalloc`` plus the GC monitor, held while any profiler is attached.
+
+    The first :meth:`acquire` starts tracemalloc (unless something else
+    already traces) and installs the GC callback; the matching last
+    :meth:`release` undoes exactly what the first acquire did.
+    """
+
+    def __init__(self) -> None:
+        self.gc = _GcMonitor()
+        #: guards the holder count; reentrant so a profiler can update its
+        #: own attachment count atomically with the acquire or release
+        self.lock = threading.RLock()
+        self._holders = 0
+        self._started_tracemalloc = False
+
+    def acquire(self) -> None:
+        with self.lock:
+            if self._holders == 0:
+                if not tracemalloc.is_tracing():
+                    tracemalloc.start()
+                    self._started_tracemalloc = True
+                gc.callbacks.append(self.gc._on_gc)
+            self._holders += 1
+
+    def release(self) -> None:
+        with self.lock:
+            self._holders -= 1
+            if self._holders == 0:
+                gc.callbacks.remove(self.gc._on_gc)
+                if self._started_tracemalloc:
+                    tracemalloc.stop()
+                    self._started_tracemalloc = False
+
+
+_HOOKS = _ProcessHooks()
 
 
 class AtomProbe:
@@ -167,26 +199,36 @@ class AtomProbe:
 class ResourceProfiler:
     """Samples real resources around each atom and charges span + registry.
 
-    Constructing a profiler starts ``tracemalloc`` (if not already
-    tracing) and installs the GC pause monitor; both are process-wide
-    and shared by worker threads.  The profiler itself is stateless per
-    atom — each execution gets its own :class:`AtomProbe`.
+    Constructing a profiler touches no process-wide state.  Between
+    :meth:`attach` and :meth:`detach` it holds ``tracemalloc`` and the GC
+    pause monitor (shared by worker threads and by every other attached
+    profiler); atoms may only be probed while attached.  The profiler
+    itself is stateless per atom — each execution gets its own
+    :class:`AtomProbe`.
     """
 
     def __init__(self) -> None:
-        self._started_tracemalloc = False
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracemalloc = True
-        self._gc = _GcMonitor()
-        self._gc.install()
+        self._gc = _HOOKS.gc
+        self._attached = 0
+
+    def attach(self) -> None:
+        """Hold the process-wide hooks (one run's worth; nests)."""
+        with _HOOKS.lock:
+            _HOOKS.acquire()
+            self._attached += 1
+
+    def detach(self) -> None:
+        """Release one :meth:`attach`; no-op when not attached."""
+        with _HOOKS.lock:
+            if self._attached:
+                self._attached -= 1
+                _HOOKS.release()
 
     def close(self) -> None:
-        """Detach process-wide hooks (tests; optional in normal runs)."""
-        self._gc.uninstall()
-        if self._started_tracemalloc and tracemalloc.is_tracing():
-            tracemalloc.stop()
-            self._started_tracemalloc = False
+        """Release every attachment still held (idempotent)."""
+        with _HOOKS.lock:
+            while self._attached:
+                self.detach()
 
     # ------------------------------------------------------------------
     def start_atom(self, queue_wait_ms: float = 0.0) -> AtomProbe:

@@ -13,6 +13,7 @@ cheap to hash and compare (both are required by shuffles and joins).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ValidationError
@@ -25,6 +26,15 @@ Predicate = Callable[[Any], bool]
 
 #: A key-extraction UDF.
 KeyUdf = Callable[[Any], Any]
+
+#: Projection memo: (source fields, wanted fields) -> (the shared projected
+#: schema, a getter copying the wanted values out of a source value
+#: tuple).  Module-level rather than a Schema slot so schemas and records
+#: pickle exactly as they always have (process-mode payloads, checkpoints).
+_PROJECTIONS: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[Any, Any]] = {}
+#: distinct projections are fixed by the program's schemas; the cap only
+#: guards long-lived processes that see unboundedly many ad-hoc ones
+_PROJECTIONS_CAP = 4096
 
 
 class Schema:
@@ -63,10 +73,34 @@ class Schema:
             ) from None
 
     def project(self, fields: Sequence[str]) -> "Schema":
-        """Return a new schema restricted to ``fields`` (kept in given order)."""
-        for field in fields:
-            self.index_of(field)
-        return Schema(fields)
+        """Return the schema restricted to ``fields`` (kept in given order).
+
+        Equal to ``Schema(fields)``; one instance is shared by every
+        projection of this field list onto this schema.
+        """
+        return self._projection(fields)[0]
+
+    def _projection(self, fields: Sequence[str]) -> tuple["Schema", Any]:
+        """The memoized (projected schema, value getter) for ``fields``."""
+        key = (self._fields, tuple(fields))
+        try:
+            return _PROJECTIONS[key]
+        except KeyError:
+            pass
+        wanted = key[1]
+        positions = [self.index_of(field) for field in wanted]
+        projected = Schema(wanted)
+        if len(positions) == 1:
+            (position,) = positions
+
+            def getter(values: tuple[Any, ...]) -> tuple[Any, ...]:
+                return (values[position],)
+        else:
+            getter = itemgetter(*positions)
+        if len(_PROJECTIONS) >= _PROJECTIONS_CAP:
+            _PROJECTIONS.clear()
+        _PROJECTIONS[key] = (projected, getter)
+        return projected, getter
 
     def record(self, *values: Any) -> "Record":
         """Build a :class:`Record` of this schema from positional values."""
@@ -120,15 +154,19 @@ class Record:
         self.values = values
 
     def __getitem__(self, field: str | int) -> Any:
-        if isinstance(field, int):
-            return self.values[field]
-        return self.values[self.schema.index_of(field)]
+        # One dict lookup resolves a name; a position is not a key of the
+        # index, so ``get`` hands it through unchanged.  An unknown name
+        # reaches the tuple as a str and raises TypeError there.
+        try:
+            return self.values[self.schema._index.get(field, field)]
+        except TypeError:
+            self.schema.index_of(field)  # ValidationError for unknown names
+            raise
 
     def get(self, field: str, default: Any = None) -> Any:
         """Return the value of ``field``, or ``default`` if absent."""
-        if field in self.schema:
-            return self.values[self.schema.index_of(field)]
-        return default
+        index = self.schema._index.get(field)
+        return default if index is None else self.values[index]
 
     def with_value(self, field: str, value: Any) -> "Record":
         """Return a copy of this record with ``field`` replaced by ``value``."""
@@ -138,8 +176,8 @@ class Record:
 
     def project(self, fields: Sequence[str]) -> "Record":
         """Return a record holding only ``fields`` (with a projected schema)."""
-        schema = self.schema.project(fields)
-        return Record(schema, tuple(self[f] for f in fields))
+        schema, getter = self.schema._projection(fields)
+        return Record(schema, getter(self.values))
 
     def as_dict(self) -> dict[str, Any]:
         """Return the record as a plain ``dict`` (field → value)."""

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import gc
 import re
+import sys
+import threading
 import tracemalloc
 from array import array
 from contextlib import contextmanager
@@ -150,6 +152,7 @@ class TestPayloadBytes:
 class TestResourceProfilerUnit:
     def test_probe_charges_span_and_registry(self):
         profiler = ResourceProfiler()
+        profiler.attach()
         try:
             registry = MetricsRegistry()
             span = _FakeSpan()
@@ -180,6 +183,7 @@ class TestResourceProfilerUnit:
 
     def test_record_channel_accumulates(self):
         profiler = ResourceProfiler()
+        profiler.attach()
         try:
             registry = MetricsRegistry()
             probe = profiler.start_atom()
@@ -194,6 +198,7 @@ class TestResourceProfilerUnit:
 
     def test_resource_summary_totals(self):
         profiler = ResourceProfiler()
+        profiler.attach()
         try:
             registry = MetricsRegistry()
             for platform in ("java", "postgres"):
@@ -221,9 +226,53 @@ class TestResourceProfilerUnit:
         callbacks_before = len(gc.callbacks)
         was_tracing = tracemalloc.is_tracing()
         profiler = ResourceProfiler()
+        # construction alone touches no process-wide state
+        assert len(gc.callbacks) == callbacks_before
+        assert tracemalloc.is_tracing() == was_tracing
+        profiler.attach()
+        profiler.attach()
         assert len(gc.callbacks) == callbacks_before + 1
         assert tracemalloc.is_tracing()
         profiler.close()
+        assert len(gc.callbacks) == callbacks_before
+        assert tracemalloc.is_tracing() == was_tracing
+        profiler.close()  # idempotent
+        assert len(gc.callbacks) == callbacks_before
+
+    def test_concurrent_attachments_stay_balanced(self):
+        """Many threads attaching and detaching at once (concurrent
+        tenants): every attached thread sees the hooks, and the last
+        detach leaves the process as it was."""
+        callbacks_before = len(gc.callbacks)
+        was_tracing = tracemalloc.is_tracing()
+        broken = []
+        # four threads share each profiler, as runs of one executor would
+        profilers = [ResourceProfiler(), ResourceProfiler()]
+
+        def tenant(profiler):
+            for _ in range(200):
+                profiler.attach()
+                if not tracemalloc.is_tracing() or (
+                    len(gc.callbacks) != callbacks_before + 1
+                ):
+                    broken.append(len(gc.callbacks))
+                profiler.detach()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=tenant, args=(profilers[i % 2],))
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not broken
         assert len(gc.callbacks) == callbacks_before
         assert tracemalloc.is_tracing() == was_tracing
 
@@ -318,6 +367,27 @@ class TestProfiledRun:
 
         summary = resource_summary(registry)
         assert summary["atom_cpu_ms"]["n"] == len(atoms)
+
+    @pytest.mark.parametrize("parallelism", [None, 4])
+    def test_hooks_live_only_while_executing(self, parallelism):
+        """A profiled run holds tracemalloc and the GC callback while it
+        executes and leaves neither behind, without any close() call."""
+        callbacks_before = list(gc.callbacks)
+        was_tracing = tracemalloc.is_tracing()
+        seen = []
+
+        def probe(word):
+            seen.append((tracemalloc.is_tracing(), len(gc.callbacks)))
+            return word
+
+        ctx = RheemContext(profile=True, parallelism=parallelism)
+        ctx.collection(["a", "b"]).map(probe).collect()
+        assert seen and all(
+            tracing and callbacks == len(callbacks_before) + 1
+            for tracing, callbacks in seen
+        )
+        assert gc.callbacks == callbacks_before
+        assert tracemalloc.is_tracing() == was_tracing
 
     def test_parallel_run_records_queue_wait(self):
         tracer = Tracer()

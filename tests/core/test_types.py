@@ -1,5 +1,7 @@
 """Unit tests for the data-quanta model (Schema / Record)."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,6 +106,78 @@ class TestRecord:
 
     def test_repr_mentions_fields(self):
         assert "a=1" in repr(Schema(["a"]).record(1))
+
+
+class TestProjectionContract:
+    """Projection is memoized per (source fields, wanted fields); field
+    access resolves a name with one lookup.  Neither may change what a
+    schema or record is, how it compares, or how it pickles."""
+
+    def test_projected_schema_equals_fresh_schema(self):
+        schema = Schema(["a", "b", "c"])
+        assert schema.project(["c", "a"]) == Schema(["c", "a"])
+        assert schema.project(("c", "a")) == Schema(["c", "a"])
+
+    def test_projected_schema_is_shared_across_rows(self):
+        schema = Schema(["a", "b", "c"])
+        rows = [schema.record(i, -i, 2 * i) for i in range(4)]
+        projected = [row.project(["c", "a"]) for row in rows]
+        assert {id(p.schema) for p in projected} == {id(projected[0].schema)}
+        assert projected[0].schema is schema.project(["c", "a"])
+        assert [p.values for p in projected] == [(2 * i, i) for i in range(4)]
+        # an equal source schema shares the same projection
+        assert Schema(["a", "b", "c"]).project(["c", "a"]) is projected[0].schema
+
+    def test_single_field_projection(self):
+        record = Schema(["a", "b"]).record(1, 2)
+        projected = record.project(["b"])
+        assert projected.values == (2,)
+        assert projected["b"] == 2
+
+    def test_projection_depends_on_the_source_layout(self):
+        first = Schema(["a", "b"]).record(1, 2).project(["b"])
+        second = Schema(["b", "a"]).record(1, 2).project(["b"])
+        assert first.values == (2,)
+        assert second.values == (1,)
+
+    def test_positional_access(self):
+        record = Schema(["a", "b", "c"]).record(10, 20, 30)
+        assert record[0] == 10
+        assert record[-1] == 30
+        assert record[-3] == 10
+        with pytest.raises(IndexError):
+            record[3]
+
+    def test_unknown_name_raises_validation_error(self):
+        record = Schema(["a", "b"]).record(1, 2)
+        with pytest.raises(ValidationError, match="unknown field 'zzz'"):
+            record["zzz"]
+        with pytest.raises(ValidationError, match="unknown field 'zzz'"):
+            record.project(["a", "zzz"])
+        with pytest.raises(ValidationError, match="unknown field 'zzz'"):
+            record.schema.project(["zzz"])
+
+    def test_invalid_projection_is_not_memoized(self):
+        schema = Schema(["a", "b"])
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="duplicate"):
+                schema.project(["a", "a"])
+            with pytest.raises(ValidationError):
+                schema.project([])
+
+    def test_pickle_bytes_unchanged_by_memoization(self):
+        schema = Schema(["p", "q", "r"])
+        record = schema.record(1, "two", 3.0)
+        schema_bytes = pickle.dumps(schema)
+        record_bytes = pickle.dumps(record)
+        projected = record.project(["r", "p"])
+        record.project(["r", "p"])
+        assert pickle.dumps(schema) == schema_bytes
+        assert pickle.dumps(record) == record_bytes
+        # and projected rows round-trip like any other record
+        clone = pickle.loads(pickle.dumps(projected))
+        assert clone == projected
+        assert clone["p"] == 1 and clone[-1] == 1
 
 
 def test_records_from_dicts():
