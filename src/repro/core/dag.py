@@ -10,6 +10,7 @@ its operator semantics.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
 from repro.errors import PlanError, ValidationError
@@ -105,6 +106,20 @@ class OperatorGraph(Generic[OpT]):
             op for op in self._operators if operator in self._inputs[op.id]
         )
 
+    def consumer_index(self) -> dict[int, list[OpT]]:
+        """Producer id -> :meth:`consumers_of` for every operator, in one pass.
+
+        Each consumer is listed once per producer (``x.join(x)`` reads
+        ``x`` twice but is one consumer), in insertion order.
+        """
+        index: dict[int, list[OpT]] = {op.id: [] for op in self._operators}
+        for op in self._operators:
+            slots = self._inputs[op.id]
+            for slot, producer in enumerate(slots):
+                if producer not in slots[:slot]:
+                    index.setdefault(producer.id, []).append(op)
+        return index
+
     @property
     def sources(self) -> tuple[OpT, ...]:
         """Operators with no inputs."""
@@ -134,31 +149,37 @@ class OperatorGraph(Generic[OpT]):
     def topological_order(self) -> list[OpT]:
         """Return the operators in a producers-before-consumers order.
 
+        Kahn's algorithm in O(n + e): ready operators leave a FIFO queue
+        in insertion order, and each one releases its consumers in
+        insertion order, one input slot per wired edge.
+
         Raises :class:`PlanError` when the wiring contains a cycle (which
-        cannot happen via :meth:`add` alone but can after plan surgery).
+        cannot happen via :meth:`add` alone but can after plan surgery) or
+        reads an operator that is not part of the graph.
         """
-        in_degree = {op.id: len(self._inputs[op.id]) for op in self._operators}
-        by_id = {op.id: op for op in self._operators}
-        ready = [op for op in self._operators if in_degree[op.id] == 0]
+        inputs = self._inputs
+        in_degree = {op.id: len(inputs[op.id]) for op in self._operators}
+        consumers = self.consumer_index()
+        ready = deque(op for op in self._operators if in_degree[op.id] == 0)
         order: list[OpT] = []
         while ready:
-            current = ready.pop(0)
+            current = ready.popleft()
             order.append(current)
-            for consumer in self._operators:
-                if current in self._inputs[consumer.id]:
-                    count = self._inputs[consumer.id].count(current)
-                    in_degree[consumer.id] -= count
-                    if in_degree[consumer.id] == 0:
-                        ready.append(by_id[consumer.id])
+            for consumer in consumers[current.id]:
+                in_degree[consumer.id] -= inputs[consumer.id].count(current)
+                if in_degree[consumer.id] == 0:
+                    ready.append(consumer)
         if len(order) != len(self._operators):
             raise PlanError("plan wiring contains a cycle")
         return order
 
-    def validate(self) -> None:
+    def validate(self) -> list[OpT]:
         """Check structural invariants; raise :class:`ValidationError` if broken.
 
         A valid plan has at least one source, at least one sink, no cycles,
-        and every non-source operator reachable from a source.
+        and every non-source operator reachable from a source.  Returns the
+        :meth:`topological_order` computed along the way, so callers that
+        validate and then traverse walk the graph once.
         """
         if not self._operators:
             raise ValidationError("plan is empty")
@@ -178,6 +199,7 @@ class OperatorGraph(Generic[OpT]):
         unreachable = [op for op in self._operators if op.id not in reachable]
         if unreachable:
             raise ValidationError(f"operators not reachable from sources: {unreachable!r}")
+        return order
 
     def explain(self) -> str:
         """Return a multi-line, indented rendering of the DAG for humans."""

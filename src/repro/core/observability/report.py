@@ -23,8 +23,8 @@ trend; ``repro report --check`` turns the comparison into a gate:
 * **tolerance bands** — numeric ``*_ms`` metrics are compared as
   best-of-N medians against the baseline, only when the run scale
   matches the baseline scale (wall times at quick scale say nothing
-  about full-scale baselines).  Keys starting with ``wall`` get the
-  loose wall-clock band; everything else ending in ``_ms`` is virtual
+  about full-scale baselines).  Keys with a ``wall`` token
+  (``wall_ms``, ``cold_wall_ms``) get the loose wall-clock band; everything else ending in ``_ms`` is virtual
   time — deterministic by construction — and gets a tight band.
 
 The module only reads files handed to it (no repo-layout assumptions),
@@ -178,7 +178,8 @@ def _band_keys(baseline: dict) -> list[str]:
 
 
 def _tolerance_for(key: str, wall_tol: float, virtual_tol: float) -> float:
-    return wall_tol if key.startswith("wall") else virtual_tol
+    """Wall-clock keys carry a ``wall`` token (``wall_ms``, ``cold_wall_ms``)."""
+    return wall_tol if "wall" in key.split("_") else virtual_tol
 
 
 def build_report(

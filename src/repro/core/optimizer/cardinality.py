@@ -47,18 +47,24 @@ class CardinalityEstimator:
     DEFAULT_UNKNOWN_SOURCE_CARD = 10_000
 
     def estimate_plan(
-        self, plan: PhysicalPlan, seeds: dict[int, float] | None = None
+        self,
+        plan: PhysicalPlan,
+        seeds: dict[int, float] | None = None,
+        order: list[PhysicalOperator] | None = None,
     ) -> dict[int, float]:
         """Estimate output cardinality for every operator in ``plan``.
 
         ``seeds`` pins the estimate of specific operators (by id) — the
         enumerator uses this to feed the known loop-state cardinality to
-        the ``LoopInput`` of a ``Repeat`` body.
+        the ``LoopInput`` of a ``Repeat`` body.  ``order`` is the plan's
+        topological order when the caller already holds it.
 
         Returns a map from operator id to estimated output cardinality.
         """
         estimates: dict[int, float] = dict(seeds or {})
-        for operator in plan.graph.topological_order():
+        if order is None:
+            order = plan.graph.topological_order()
+        for operator in order:
             if operator.id in estimates:
                 continue
             input_cards = [
@@ -200,10 +206,13 @@ class CalibratedCardinalityEstimator(CardinalityEstimator):
         self.last_corrections: dict[int, float] = {}
 
     def estimate_plan(
-        self, plan: PhysicalPlan, seeds: dict[int, float] | None = None
+        self,
+        plan: PhysicalPlan,
+        seeds: dict[int, float] | None = None,
+        order: list[PhysicalOperator] | None = None,
     ) -> dict[int, float]:
         self.last_corrections = {}
-        return super().estimate_plan(plan, seeds)
+        return super().estimate_plan(plan, seeds, order)
 
     def estimate_operator(
         self, operator: PhysicalOperator, input_cards: list[float]

@@ -11,19 +11,35 @@ cost model.  It then *divides the plan into task atoms* — maximal
 single-platform fragments — and emits an
 :class:`~repro.core.execution.plan.ExecutionPlan`.
 
-The assignment search is a dynamic program over the plan DAG: the cost of
-running an operator under a choice is its platform cost plus, per input,
-the cheapest producer choice including the movement cost of crossing
-platforms.  Shared sub-plans (operators with several consumers) make the
-DP an approximation — producer costs can be counted once per consumer; a
-reverse-topological consistency pass resolves every operator to a single
-choice.  Plans here are overwhelmingly tree-shaped, and the executor
-re-prices the final plan with observed cardinalities anyway, so the
-approximation only ever affects plan choice, never reported times.
+**Price once, search per subset.**  The per-operator DP cannot see
+per-platform start-up costs (they are global, not per-edge), so the
+search runs once per non-empty subset of the platform roster and the
+exact cost, start-ups included, picks the winner.  Almost nothing that
+search reads depends on the subset, so one call first builds a priced
+table (:class:`_PricedPlan`): the topological order, every operator's
+producers and consumers, every (variant, platform) choice over the
+whole roster with its operator cost, the transfer cost of every
+producer's output between every pair of platforms, and each platform's
+start-up.  The per-subset work is then only arithmetic over that table:
+
+* a forward DP — the cost of an operator under a choice is its own cost
+  plus, per input, the cheapest producer choice including the movement
+  cost of crossing platforms;
+* a reverse-topological pass that commits one choice per operator,
+  preferring choices cheap for the already-committed consumers;
+* the exact re-pricing of the committed assignment.
+
+Shared sub-plans (operators with several consumers) make the DP an
+approximation — a producer's cost can be counted once per consumer.  On
+trees it is exact (the property suite checks it against an exhaustive
+oracle).  The executor re-prices the final plan with observed
+cardinalities anyway, so the approximation only ever affects plan
+choice, never reported times.
 
 Loops (``PRepeat``) are costed as ``iterations × body cost`` with
 loop-invariant sources priced at cache-read rates after the first
-iteration, and are always scheduled as a single-platform
+iteration (once per platform per call: the table holds it), and are
+always scheduled as a single-platform
 :class:`~repro.core.execution.plan.LoopAtom` (platforms without the
 ``iterative`` profile are pruned — the data-processing-profile idea of
 paper §8, challenge 2).
@@ -56,9 +72,146 @@ class Choice:
     variant: PhysicalOperator
     platform: "Platform"
 
-    @property
-    def key(self) -> tuple[int, str]:
-        return (self.variant.id, self.platform.name)
+
+#: one priced option of an operator: the choice, the roster index of its
+#: platform, and the operator's own cost under it
+_Priced = tuple[Choice, int, float]
+
+
+class _PricedPlan:
+    """The subset-invariant half of one enumeration, priced once.
+
+    Everything the search reads is the same for every platform subset it
+    tries: the topological order, each operator's producers and distinct
+    consumers, every (variant, platform) choice over the roster with its
+    operator cost (a loop's whole-body cost included), the transfer cost
+    of each producer's output between every pair of roster platforms, and
+    each platform's start-up cost.  A table lives for one ``optimize`` /
+    ``estimated_plan_cost`` call; :meth:`assign` (the per-subset DP),
+    :meth:`forced` and :meth:`price` (the exact cost) only read it.
+    """
+
+    def __init__(
+        self,
+        optimizer: "MultiPlatformOptimizer",
+        plan: PhysicalPlan,
+        order: list[PhysicalOperator],
+        estimates: dict[int, float],
+        platforms: "list[Platform]",
+    ):
+        graph = plan.graph
+        self.order = order
+        self.platforms = platforms
+        self.inputs = {op.id: graph.inputs_of(op) for op in order}
+        self.consumers = graph.consumer_index()
+        self.startup = {p.name: p.cost_model.startup_ms() for p in platforms}
+        models = [p.cost_model for p in platforms]
+        transfer_ms = optimizer.movement.transfer_ms
+        #: operator id -> its priced options, variants outer, roster inner
+        self.options: dict[int, list[_Priced]] = {}
+        #: producer id -> [consumer index][producer index] -> transfer ms
+        self.transfers: dict[int, list[list[float]]] = {}
+        for operator in order:
+            in_cards = tuple(estimates[p.id] for p in self.inputs[operator.id])
+            out_card = estimates[operator.id]
+            options: list[_Priced] = []
+            for variant in [operator] + list(operator.alternates):
+                for index, platform in enumerate(platforms):
+                    if platform.supports(variant):
+                        choice = Choice(variant, platform)
+                        cost = optimizer._operator_cost(
+                            choice, in_cards, out_card
+                        )
+                        options.append((choice, index, cost))
+            self.options[operator.id] = options
+            if not options:
+                break  # infeasible on every subset: no search gets past it
+            if self.consumers[operator.id]:
+                self.transfers[operator.id] = [
+                    [transfer_ms(producer, consumer, out_card) for producer in models]
+                    for consumer in models
+                ]
+
+    def assign(self, mask: int) -> dict[int, _Priced]:
+        """Commit one option per operator using only the platforms in ``mask``.
+
+        A forward DP finds, per operator and option, the cheapest way to
+        have its output available: its own cost plus, per input, the
+        cheapest producer option including the movement across platforms.
+        Producers are added independently, so a shared producer is counted
+        once per consumer — exact on trees, an approximation on diamonds.
+        A reverse pass then commits one option per operator, preferring
+        options cheap for the already-committed consumers.
+        """
+        transfers = self.transfers
+        reach: dict[int, list[tuple[int, float]]] = {}
+        allowed: dict[int, list[_Priced]] = {}
+        for operator in self.order:
+            options = [
+                o for o in self.options[operator.id] if mask >> o[1] & 1
+            ]
+            if not options:
+                raise OptimizationError(
+                    f"no platform supports {operator.describe()} "
+                    f"(or any of its variants)"
+                )
+            feeds = [
+                (transfers[p.id], reach[p.id]) for p in self.inputs[operator.id]
+            ]
+            costs = []
+            for _, index, cost in options:
+                for matrix, upstream in feeds:
+                    column = matrix[index]
+                    cost += min([total + column[at] for at, total in upstream])
+                costs.append((index, cost))
+            allowed[operator.id] = options
+            reach[operator.id] = costs
+
+        committed: dict[int, _Priced] = {}
+        for operator in reversed(self.order):
+            targets = [committed[c.id][1] for c in self.consumers[operator.id]]
+            matrix = transfers.get(operator.id)
+            best: _Priced | None = None
+            best_total = float("inf")
+            for option, (index, total) in zip(
+                allowed[operator.id], reach[operator.id]
+            ):
+                for target in targets:
+                    total += matrix[target][index]
+                if total < best_total:
+                    best, best_total = option, total
+            assert best is not None  # options are never empty here
+            committed[operator.id] = best
+        return committed
+
+    def forced(self) -> dict[int, _Priced]:
+        """The cheapest variant of every operator on the only platform."""
+        (platform,) = self.platforms
+        committed: dict[int, _Priced] = {}
+        for operator in self.order:
+            options = self.options[operator.id]
+            if not options:
+                raise OptimizationError(
+                    f"platform {platform.name!r} does not support "
+                    f"{operator.describe()}"
+                )
+            committed[operator.id] = min(options, key=lambda o: o[2])
+        return committed
+
+    def price(self, committed: dict[int, _Priced]) -> float:
+        """Exact estimated cost of a committed assignment, start-ups included."""
+        total = 0.0
+        platforms_used: set[str] = set()
+        for operator in self.order:
+            choice, index, cost = committed[operator.id]
+            platforms_used.add(choice.platform.name)
+            total += cost
+            for producer in self.inputs[operator.id]:
+                at = committed[producer.id][1]
+                total += self.transfers[producer.id][index][at]
+        for name in platforms_used:
+            total += self.startup[name]
+        return total
 
 
 class MultiPlatformOptimizer:
@@ -100,17 +253,17 @@ class MultiPlatformOptimizer:
         ``candidate`` span per platform subset considered with its
         estimated cost, plus the winner and the reason it won.
         """
-        plan.validate()
+        order = plan.validate()
         with maybe_span(
             tracer,
             "optimize.enumerate",
             KIND_OPTIMIZER,
-            operators=len(list(plan.graph.operators)),
+            operators=len(order),
             forced=forced_platform,
             excluded=sorted(exclude_platforms or ()),
         ) as span:
             roster = self._roster(exclude_platforms)
-            estimates = self.estimator.estimate_plan(plan)
+            estimates = self.estimator.estimate_plan(plan, order=order)
             # Snapshot kind + applied-correction maps NOW: variant
             # substitution renumbers operators and nested loop-body
             # estimate_plan calls reset the estimator's correction map.
@@ -135,31 +288,37 @@ class MultiPlatformOptimizer:
                     raise OptimizationError(
                         f"forced platform {forced_platform!r} is excluded"
                     )
-                assignment = self._forced_assignment(
-                    plan, forced_platform, estimates
+                table = _PricedPlan(
+                    self,
+                    plan,
+                    order,
+                    estimates,
+                    [self._platform_by_name(forced_platform)],
                 )
+                committed = table.forced()
                 if span is not None:
                     span.set(
                         winner=[forced_platform],
-                        winner_cost=self._assignment_cost(
-                            plan, assignment, estimates
-                        ),
+                        winner_cost=table.price(committed),
                         reason=f"platform pinned to {forced_platform!r}",
                         candidates=1,
                     )
             else:
-                assignment = self._cost_based_assignment(
-                    plan, estimates, roster, tracer=tracer, span=span
-                )
+                table = _PricedPlan(self, plan, order, estimates, roster)
+                committed, _ = self._search(table, tracer=tracer, span=span)
+            assignment = {
+                op_id: choice for op_id, (choice, _, _) in committed.items()
+            }
             if span is not None:
                 span.set(
                     assignment=self._describe_assignment(
-                        plan, assignment, estimates
+                        order, assignment, estimates
                     )
                 )
         with maybe_span(tracer, "optimize.cut_atoms", KIND_OPTIMIZER) as span:
-            self._apply_variants(plan, assignment)
-            execution = self._cut_atoms(plan, assignment, estimates)
+            replaced = self._apply_variants(plan, assignment)
+            order = [replaced.get(op.id, op) for op in order]
+            execution = self._cut_atoms(plan, order, assignment, estimates)
             execution.estimate_kinds = estimate_kinds
             execution.estimate_corrections = estimate_corrections
             # Static columnar boundary analysis: which hand-offs an
@@ -187,13 +346,13 @@ class MultiPlatformOptimizer:
 
     @staticmethod
     def _describe_assignment(
-        plan: PhysicalPlan,
+        order: list[PhysicalOperator],
         assignment: dict[int, Choice],
         estimates: dict[int, float],
     ) -> list[str]:
         """Human-readable per-operator decisions (for traces/explain)."""
         lines = []
-        for operator in plan.graph.topological_order():
+        for operator in order:
             choice = assignment[operator.id]
             alternates = len(operator.alternates)
             extra = f" (+{alternates} variants)" if alternates else ""
@@ -214,14 +373,15 @@ class MultiPlatformOptimizer:
 
         Exposed for tests and ablations; includes per-platform start-up.
         """
-        plan.validate()
+        order = plan.validate()
         roster = self._roster(exclude_platforms)
-        estimates = self.estimator.estimate_plan(plan)
+        estimates = self.estimator.estimate_plan(plan, order=order)
         if forced_platform is not None:
-            assignment = self._forced_assignment(plan, forced_platform, estimates)
-        else:
-            assignment = self._cost_based_assignment(plan, estimates, roster)
-        return self._assignment_cost(plan, assignment, estimates)
+            platform = self._platform_by_name(forced_platform)
+            table = _PricedPlan(self, plan, order, estimates, [platform])
+            return table.price(table.forced())
+        table = _PricedPlan(self, plan, order, estimates, roster)
+        return self._search(table)[1]
 
     def _roster(
         self, exclude_platforms: "set[str] | None"
@@ -238,9 +398,6 @@ class MultiPlatformOptimizer:
             )
         return roster
 
-    # ------------------------------------------------------------------
-    # choice enumeration
-    # ------------------------------------------------------------------
     def _platform_by_name(self, name: str) -> "Platform":
         for platform in self.platforms:
             if platform.name == name:
@@ -249,25 +406,9 @@ class MultiPlatformOptimizer:
             f"unknown platform {name!r}; have {[p.name for p in self.platforms]}"
         )
 
-    def _choices_for(
-        self,
-        operator: PhysicalOperator,
-        platforms: "list[Platform] | None" = None,
-    ) -> list[Choice]:
-        variants = [operator] + list(operator.alternates)
-        choices = [
-            Choice(variant, platform)
-            for variant in variants
-            for platform in (platforms or self.platforms)
-            if platform.supports(variant)
-        ]
-        if not choices:
-            raise OptimizationError(
-                f"no platform supports {operator.describe()} "
-                f"(or any of its variants)"
-            )
-        return choices
-
+    # ------------------------------------------------------------------
+    # operator pricing
+    # ------------------------------------------------------------------
     def _operator_cost(
         self,
         choice: Choice,
@@ -297,16 +438,18 @@ class MultiPlatformOptimizer:
         price once and cache-read price afterwards.
         """
         state_card = input_cards[0] if input_cards else 1.0
+        body = repeat.body.graph
+        order = body.topological_order()
         body_estimates = self.estimator.estimate_plan(
-            repeat.body, seeds={repeat.body_input.id: state_card}
+            repeat.body, seeds={repeat.body_input.id: state_card}, order=order
         )
         iterations = max(1, repeat.iteration_bound)
         model = platform.cost_model
         per_iteration = model.loop_iteration_ms()
         first_iteration_extra = 0.0
-        for operator in repeat.body.graph.topological_order():
+        for operator in order:
             in_cards = tuple(
-                body_estimates[p.id] for p in repeat.body.graph.inputs_of(operator)
+                body_estimates[p.id] for p in body.inputs_of(operator)
             )
             out_card = body_estimates[operator.id]
             best = min(
@@ -325,78 +468,44 @@ class MultiPlatformOptimizer:
     # ------------------------------------------------------------------
     # assignment search
     # ------------------------------------------------------------------
-    def _forced_assignment(
+    def _search(
         self,
-        plan: PhysicalPlan,
-        platform_name: str,
-        estimates: dict[int, float],
-    ) -> dict[int, Choice]:
-        platform = self._platform_by_name(platform_name)
-        assignment: dict[int, Choice] = {}
-        for operator in plan.graph.topological_order():
-            variants = [operator] + list(operator.alternates)
-            supported = [v for v in variants if platform.supports(v)]
-            if not supported:
-                raise OptimizationError(
-                    f"platform {platform_name!r} does not support "
-                    f"{operator.describe()}"
-                )
-            in_cards = tuple(
-                estimates[p.id] for p in plan.graph.inputs_of(operator)
-            )
-            out_card = estimates[operator.id]
-            best = min(
-                supported,
-                key=lambda v: self._operator_cost(
-                    Choice(v, platform), in_cards, out_card
-                ),
-            )
-            assignment[operator.id] = Choice(best, platform)
-        return assignment
-
-    def _cost_based_assignment(
-        self,
-        plan: PhysicalPlan,
-        estimates: dict[int, float],
-        platforms: "list[Platform] | None" = None,
+        table: "_PricedPlan",
         tracer: "Tracer | None" = None,
         span=None,
-    ) -> dict[int, Choice]:
-        """Best assignment over all platform subsets of the roster.
+    ) -> "tuple[dict[int, _Priced], float]":
+        """Best assignment over all platform subsets of the table's roster.
 
-        The per-operator DP cannot see per-platform start-up costs (they
-        are global, not per-edge), so running it over the full roster
-        makes it sprinkle expensive-to-start platforms onto single
-        operators.  Instead the DP runs once per non-empty platform
-        subset — exponential in the number of *platforms* (a handful),
-        linear in plan size — and the exact cost (start-ups included)
-        picks the winner.
+        Running the DP over the full roster alone would sprinkle
+        expensive-to-start platforms onto single operators, so it runs
+        once per non-empty subset — exponential in the number of
+        *platforms* (a handful), linear in plan size — and the exact
+        cost (start-ups included) picks the winner.
 
         With a tracer attached, every subset becomes a ``candidate``
         span carrying its estimated cost (or infeasibility), and the
         enclosing ``span`` receives winner/cost/reason attributes — the
         enumerator's decision trace that ``repro explain`` renders.
         """
-        roster = self.platforms if platforms is None else platforms
-        best: dict[int, Choice] | None = None
+        roster = table.platforms
+        best: dict[int, _Priced] | None = None
         best_cost = float("inf")
         best_names: list[str] = []
         candidates = 0
         n = len(roster)
         for mask in range(1, 1 << n):
-            subset = [roster[i] for i in range(n) if mask & (1 << i)]
-            names = [p.name for p in subset]
+            names = [roster[i].name for i in range(n) if mask & (1 << i)]
             candidates += 1
             with maybe_span(
                 tracer, "candidate", KIND_OPTIMIZER, platforms=names
             ) as cand_span:
                 try:
-                    candidate = self._dp_assignment(plan, estimates, subset)
+                    candidate = table.assign(mask)
                 except OptimizationError as error:
                     if cand_span is not None:
                         cand_span.set(feasible=False, why=str(error))
                     continue
-                cost = self._assignment_cost(plan, candidate, estimates)
+                cost = table.price(candidate)
                 if cand_span is not None:
                     cand_span.set(feasible=True, estimated_cost_ms=cost)
                 if cost < best_cost:
@@ -408,7 +517,7 @@ class MultiPlatformOptimizer:
             ).inc(candidates)
         if best is None:
             # Re-raise the full-roster error with its informative message.
-            self._dp_assignment(plan, estimates, roster)
+            table.assign((1 << n) - 1)
             raise OptimizationError("no feasible platform assignment")
         if span is not None:
             span.set(
@@ -421,89 +530,7 @@ class MultiPlatformOptimizer:
                     "(start-ups included)"
                 ),
             )
-        return best
-
-    def _dp_assignment(
-        self,
-        plan: PhysicalPlan,
-        estimates: dict[int, float],
-        platforms: "list[Platform]",
-    ) -> dict[int, Choice]:
-        graph = plan.graph
-        order = graph.topological_order()
-        # Forward DP: cheapest way to have each operator's output available
-        # under each choice.
-        dp: dict[int, dict[tuple[int, str], float]] = {}
-        choice_objects: dict[int, dict[tuple[int, str], Choice]] = {}
-        for operator in order:
-            in_cards = tuple(estimates[p.id] for p in graph.inputs_of(operator))
-            out_card = estimates[operator.id]
-            dp[operator.id] = {}
-            choice_objects[operator.id] = {}
-            for choice in self._choices_for(operator, platforms):
-                cost = self._operator_cost(choice, in_cards, out_card)
-                for producer in graph.inputs_of(operator):
-                    cost += min(
-                        dp[producer.id][key]
-                        + self.movement.transfer_ms(
-                            choice_objects[producer.id][key].platform.cost_model,
-                            choice.platform.cost_model,
-                            estimates[producer.id],
-                        )
-                        for key in dp[producer.id]
-                    )
-                dp[operator.id][choice.key] = cost
-                choice_objects[operator.id][choice.key] = choice
-
-        # Reverse pass: commit one choice per operator, preferring choices
-        # cheap for the already-committed consumers.
-        assignment: dict[int, Choice] = {}
-        for operator in reversed(order):
-            consumers = graph.consumers_of(operator)
-            best_key = None
-            best_total = float("inf")
-            for key, base_cost in dp[operator.id].items():
-                choice = choice_objects[operator.id][key]
-                total = base_cost
-                for consumer in consumers:
-                    committed = assignment.get(consumer.id)
-                    if committed is not None:
-                        total += self.movement.transfer_ms(
-                            choice.platform.cost_model,
-                            committed.platform.cost_model,
-                            estimates[operator.id],
-                        )
-                if total < best_total:
-                    best_total = total
-                    best_key = key
-            assert best_key is not None  # _choices_for guarantees options
-            assignment[operator.id] = choice_objects[operator.id][best_key]
-        return assignment
-
-    def _assignment_cost(
-        self,
-        plan: PhysicalPlan,
-        assignment: dict[int, Choice],
-        estimates: dict[int, float],
-    ) -> float:
-        """Exact estimated cost of a committed assignment."""
-        graph = plan.graph
-        total = 0.0
-        platforms_used: set[str] = set()
-        for operator in graph.topological_order():
-            choice = assignment[operator.id]
-            platforms_used.add(choice.platform.name)
-            in_cards = tuple(estimates[p.id] for p in graph.inputs_of(operator))
-            total += self._operator_cost(choice, in_cards, estimates[operator.id])
-            for producer in graph.inputs_of(operator):
-                total += self.movement.transfer_ms(
-                    assignment[producer.id].platform.cost_model,
-                    choice.platform.cost_model,
-                    estimates[producer.id],
-                )
-        for name in platforms_used:
-            total += self._platform_by_name(name).cost_model.startup_ms()
-        return total
+        return best, best_cost
 
     # ------------------------------------------------------------------
     # variant substitution
@@ -529,12 +556,12 @@ class MultiPlatformOptimizer:
     def _cut_atoms(
         self,
         plan: PhysicalPlan,
+        order: list[PhysicalOperator],
         assignment: dict[int, Choice],
         estimates: dict[int, float],
         extra_output_ids: frozenset[int] = frozenset(),
     ) -> ExecutionPlan:
         graph = plan.graph
-        order = graph.topological_order()
         # Greedy grouping with an acyclicity guard on the atom graph.
         atom_of: dict[int, int] = {}  # operator id -> atom index
         atom_members: list[list[PhysicalOperator]] = []
@@ -590,6 +617,7 @@ class MultiPlatformOptimizer:
 
         atoms: list[TaskAtom | LoopAtom] = []
         plan_sink_ids = {op.id for op in graph.sinks}
+        consumers = graph.consumer_index()
         for atom_index in atom_order:
             members = atom_members[atom_index]
             platform = atom_platform[atom_index]
@@ -606,7 +634,7 @@ class MultiPlatformOptimizer:
                         external_inputs[(operator.id, slot)] = producer.id
                 if operator.id in plan_sink_ids or operator.id in extra_output_ids:
                     output_ids.add(operator.id)
-                for consumer in graph.consumers_of(operator):
+                for consumer in consumers[operator.id]:
                     if consumer.id not in member_ids:
                         output_ids.add(operator.id)
             atom = TaskAtom(platform, fragment, external_inputs, output_ids)
@@ -632,8 +660,20 @@ class MultiPlatformOptimizer:
 
         if isinstance(repeat.body_output, PFusedPipeline):
             repeat.body_output = repeat.body_output.stages[-1]
-        body_assignment = self._forced_body_assignment(repeat, platform)
+        body_order = repeat.body.graph.topological_order()
+        body_table = _PricedPlan(
+            self,
+            repeat.body,
+            body_order,
+            self.estimator.estimate_plan(repeat.body, order=body_order),
+            [platform],
+        )
+        body_assignment = {
+            op_id: choice
+            for op_id, (choice, _, _) in body_table.forced().items()
+        }
         replaced = self._apply_variants(repeat.body, body_assignment)
+        body_order = [replaced.get(op.id, op) for op in body_order]
         if repeat.body_input.id in replaced:
             repeat.body_input = replaced[repeat.body_input.id]
         if repeat.body_output.id in replaced:
@@ -644,8 +684,9 @@ class MultiPlatformOptimizer:
         # keeps it addressable.
         body_plan = self._cut_atoms(
             repeat.body,
+            body_order,
             body_assignment,
-            self.estimator.estimate_plan(repeat.body),
+            self.estimator.estimate_plan(repeat.body, order=body_order),
             extra_output_ids=frozenset({repeat.body_output.id}),
         )
         # Platform-layer fusion may have folded the output operator into a
@@ -680,31 +721,6 @@ class MultiPlatformOptimizer:
             f"loop output {body_output!r} lost during platform-layer "
             "optimization"
         )
-
-    def _forced_body_assignment(
-        self, repeat: PRepeat, platform: "Platform"
-    ) -> dict[int, Choice]:
-        estimates = self.estimator.estimate_plan(repeat.body)
-        assignment: dict[int, Choice] = {}
-        for operator in repeat.body.graph.topological_order():
-            variants = [operator] + list(operator.alternates)
-            supported = [v for v in variants if platform.supports(v)]
-            if not supported:
-                raise OptimizationError(
-                    f"loop body operator {operator.describe()} unsupported "
-                    f"on {platform.name!r}"
-                )
-            in_cards = tuple(
-                estimates[p.id] for p in repeat.body.graph.inputs_of(operator)
-            )
-            best = min(
-                supported,
-                key=lambda v: self._operator_cost(
-                    Choice(v, platform), in_cards, estimates[operator.id]
-                ),
-            )
-            assignment[operator.id] = Choice(best, platform)
-        return assignment
 
     @staticmethod
     def _topological_atoms(atom_deps: list[set[int]]) -> list[int]:

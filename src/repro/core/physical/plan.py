@@ -26,9 +26,9 @@ class PhysicalPlan:
         """Add ``operator`` wired to ``inputs``; returns it for chaining."""
         return self.graph.add(operator, inputs)
 
-    def validate(self) -> None:
-        """Check the DAG invariants."""
-        self.graph.validate()
+    def validate(self) -> list[PhysicalOperator]:
+        """Check the DAG invariants; returns the topological order."""
+        return self.graph.validate()
 
     @property
     def sinks(self) -> tuple[PhysicalOperator, ...]:

@@ -12,6 +12,10 @@ framework — but serving *queries* instead of scrapes:
 * ``GET /status/<id>`` — summary of a submitted query.
 * ``GET /result/<id>`` — full payload: rows, tenant-tagged ledger,
   span names, enumeration-span count.
+
+  The daemon remembers only the :data:`MAX_QUERY_RECORDS` most recent
+  queries; an older id answers 404 on both routes, like an unknown one,
+  so a long-lived daemon's memory does not grow with its query count.
 * ``GET /healthz`` — liveness; ``GET /metrics`` — the serving
   registry's Prometheus exposition (every series tenant-labelled).
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -48,6 +53,10 @@ DEFAULT_PORT = 9465
 #: header naming the tenant a query belongs to
 TENANT_HEADER = "X-Repro-Tenant"
 DEFAULT_TENANT = "default"
+
+#: queries whose records (rows, ledger, span names) the daemon keeps for
+#: ``/status`` and ``/result``; older ones are forgotten, oldest first
+MAX_QUERY_RECORDS = 1024
 
 #: span names that only a cold (enumerating) run produces
 _ENUMERATION_SPANS = ("optimize.application", "optimize.enumerate",
@@ -214,7 +223,7 @@ class ServingDaemon:
                 )
         self.sessions = SessionManager(context_factory)
         self.sessions.on_create = self._wire_session
-        self._queries: dict[str, QueryRecord] = {}
+        self._queries: OrderedDict[str, QueryRecord] = OrderedDict()
         self._queries_lock = threading.Lock()
         self._next_query = 0
         self._server: ServingDaemon._Server | None = None
@@ -267,19 +276,31 @@ class ServingDaemon:
                 rows, metrics = handle.collect_with_metrics()
             except ValidationError:
                 with self._queries_lock:
-                    del self._queries[record.id]
+                    self._queries.pop(record.id, None)
                 raise
             except Exception as exc:  # noqa: BLE001 - reported per query
                 record.wall_ms = (time.perf_counter() - started) * 1000.0
                 record.status = "error"
                 record.error = f"{type(exc).__name__}: {exc}"
+                self._trim_history()
                 return record
             finally:
                 ctx.attach_tracer(None)
             record.wall_ms = (time.perf_counter() - started) * 1000.0
             session.queries += 1
             self._finish(record, tenant, tracer, rows, metrics)
+            self._trim_history()
             return record
+
+    def _trim_history(self) -> None:
+        """Forget the oldest records beyond :data:`MAX_QUERY_RECORDS`.
+
+        Called once a query has run, so a refused (400) submit never
+        pushes an older query out.
+        """
+        with self._queries_lock:
+            while len(self._queries) > MAX_QUERY_RECORDS:
+                self._queries.popitem(last=False)
 
     def _finish(self, record, tenant, tracer, rows, metrics) -> None:
         """Tenant-tag the run's accounting and fold it into the daemon."""

@@ -104,6 +104,21 @@ class TestGates:
         )
         assert gates_by_metric(report)["virtual_ms"].status == OK
 
+    def test_wall_token_anywhere_gets_the_wall_band(self):
+        # ABL14-style keys: "wall" is a token, not the prefix.  +40% is
+        # inside the wall band but would fail the 2% virtual band.
+        doc = baseline(cold_wall_ms=10.0, warm_wall_ms=2.0)
+        report = build_report(
+            {"ABL99": doc}, [run(cold_wall_ms=14.0, warm_wall_ms=2.8)] * 3
+        )
+        gates = gates_by_metric(report)
+        assert gates["cold_wall_ms"].status == OK
+        assert gates["warm_wall_ms"].status == OK
+        # A "wall" substring inside another word is not a wall token.
+        doc = baseline(firewall_ms=10.0)
+        report = build_report({"ABL99": doc}, [run(firewall_ms=14.0)] * 3)
+        assert gates_by_metric(report)["firewall_ms"].status == FAIL
+
     def test_median_shrugs_off_one_outlier(self):
         history = [run(), run(wall_ms=1000.0), run()]
         assert build_report({"ABL99": baseline()}, history).regressions == []

@@ -131,3 +131,24 @@ class TestServeSmoke:
             assert status == 200
         finally:
             daemon.stop()
+
+
+def test_query_history_keeps_only_the_newest_records(monkeypatch):
+    """Old records are evicted oldest-first and then answer 404."""
+    from repro.core.serving import daemon as daemon_module
+
+    monkeypatch.setattr(daemon_module, "MAX_QUERY_RECORDS", 2)
+    with ServingDaemon(port=0) as daemon:
+        ids = [_submit(daemon, SPEC)["id"] for _ in range(3)]
+        assert daemon.query(ids[0]) is None
+        assert [daemon.query(i).id for i in ids[1:]] == ids[1:]
+        for route in ("status", "result"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(f"{daemon.url}/{route}/{ids[0]}")
+            assert excinfo.value.code == 404
+            status, _ = _get(f"{daemon.url}/{route}/{ids[2]}")
+            assert status == 200
+        # A refused (400) submit leaves the history as it was.
+        status, _ = _post(daemon.url + "/submit", b'{"workload": "no-such"}')
+        assert status == 400
+        assert [daemon.query(i).id for i in ids[1:]] == ids[1:]

@@ -1,5 +1,7 @@
 """Unit tests for the shared operator-DAG machinery."""
 
+import random
+
 import pytest
 
 from repro.core.dag import OperatorGraph, OperatorNode, walk_down
@@ -25,6 +27,46 @@ def chain(*nodes):
         graph.add(node, [previous] if previous is not None else [])
         previous = node
     return graph
+
+
+def random_dag(rng: random.Random, size: int = 30) -> OperatorGraph:
+    """Random DAG, insertion order shuffled away from any topological one
+    by re-wiring earlier operators onto later ones; some binaries read
+    the same producer on both slots."""
+    graph = OperatorGraph()
+    nodes = [graph.add(Src()) for _ in range(rng.randint(1, 4))]
+    for _ in range(size):
+        if rng.random() < 0.4:
+            left = rng.choice(nodes)
+            right = left if rng.random() < 0.3 else rng.choice(nodes)
+            nodes.append(graph.add(Binary(), [left, right]))
+        else:
+            nodes.append(graph.add(Unary(), [rng.choice(nodes)]))
+    # Surgery: point some early unaries at sources added last, so
+    # producers can follow their consumers in insertion order.
+    for node in nodes[: len(nodes) // 2]:
+        if isinstance(node, Unary) and rng.random() < 0.3:
+            late = graph.add(Src())
+            graph.replace_input(node, graph.inputs_of(node)[0], late)
+    return graph
+
+
+def reference_order(graph: OperatorGraph) -> list:
+    """The original O(n^2) Kahn traversal: FIFO by ``list.pop(0)``, and a
+    scan of every operator (insertion order) per dequeued producer."""
+    inputs = graph._inputs
+    in_degree = {op.id: len(inputs[op.id]) for op in graph}
+    ready = [op for op in graph if in_degree[op.id] == 0]
+    order = []
+    while ready:
+        current = ready.pop(0)
+        order.append(current)
+        for consumer in graph:
+            if current in inputs[consumer.id]:
+                in_degree[consumer.id] -= inputs[consumer.id].count(current)
+                if in_degree[consumer.id] == 0:
+                    ready.append(consumer)
+    return order
 
 
 class TestConstruction:
@@ -82,6 +124,35 @@ class TestTraversal:
         graph.replace_input(a, src, b)  # creates a <-> b cycle
         with pytest.raises(PlanError, match="cycle"):
             graph.topological_order()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_topological_order_matches_quadratic_reference(self, seed):
+        graph = random_dag(random.Random(seed))
+        assert graph.topological_order() == reference_order(graph)
+
+    def test_duplicate_edge_counts_each_slot(self):
+        graph = OperatorGraph()
+        src = graph.add(Src())
+        other = graph.add(Src())
+        mid = graph.add(Unary(), [other])
+        cross = graph.add(Binary(), [src, src])
+        join = graph.add(Binary(), [mid, cross])
+        order = graph.topological_order()
+        assert order == reference_order(graph) == [src, other, cross, mid, join]
+
+    def test_dangling_input_is_reported(self):
+        src, a, b = Src(), Unary(), Unary()
+        graph = chain(src, a, b)
+        graph._operators.remove(a)  # b now reads an operator not in the plan
+        del graph._inputs[a.id]
+        with pytest.raises(PlanError, match="cycle"):
+            graph.topological_order()
+
+    def test_consumer_index_matches_consumers_of(self):
+        graph = random_dag(random.Random(7))
+        index = graph.consumer_index()
+        for op in graph:
+            assert tuple(index[op.id]) == graph.consumers_of(op)
 
     def test_walk_down_visits_descendants_once(self):
         graph = OperatorGraph()

@@ -5,15 +5,20 @@ Invariants checked for every generated plan:
 * the execution plan covers every physical operator exactly once;
 * the atom schedule is dependency-consistent (producers before consumers);
 * the cost-based plan's results equal the forced-single-platform results;
-* the cost-based estimated cost never exceeds the best single platform's.
+* the cost-based estimated cost never exceeds the best single platform's;
+* on plans of at most seven operators it equals the exhaustive minimum
+  over every (variant, platform) assignment.
 """
 
-from hypothesis import given, settings
+import itertools
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import RheemContext
 from repro.core.execution.plan import LoopAtom, TaskAtom
 from repro.core.physical.fusion import PFusedPipeline
+from tests.core.enumerator_reference import assignment_cost, choices_for
 
 
 @st.composite
@@ -147,3 +152,33 @@ def test_estimated_cost_at_most_best_single_platform(spec):
             continue
     assert singles, "at least java should support every generated plan"
     assert best_free <= min(singles) + 1e-6
+
+
+#: largest plan the exhaustive oracle enumerates (a few thousand assignments)
+ORACLE_MAX_OPERATORS = 7
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_plans())
+def test_estimated_cost_equals_exhaustive_oracle(spec):
+    """The generated plans are trees, where the per-subset DP is exact:
+    its cost must be the minimum over every assignment, bit for bit.
+    (Diamond-shaped plans can double-count a shared producer, so they
+    are not held to the oracle.)"""
+    ctx = RheemContext()
+    physical = ctx.app_optimizer.optimize(build(ctx, spec).plan)
+    assume(len(physical.graph) <= ORACLE_MAX_OPERATORS)
+    optimizer = ctx.task_optimizer
+    estimates = optimizer.estimator.estimate_plan(physical)
+    operators = list(physical.graph)
+    options = [choices_for(op, optimizer.platforms) for op in operators]
+    oracle = min(
+        assignment_cost(
+            optimizer,
+            physical,
+            {op.id: choice for op, choice in zip(operators, combination)},
+            estimates,
+        )
+        for combination in itertools.product(*options)
+    )
+    assert optimizer.estimated_plan_cost(physical) == oracle
